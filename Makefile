@@ -83,11 +83,14 @@ bench:
 	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-cache -workers 1 \
 		-json BENCH_prof.json -csv BENCH_prof.csv
 
-# Steady-state allocation microbenchmarks: the per-frame encode/decode hot
-# path of every codec family must report 0 allocs/op (see -benchmem output;
-# TestFrameRoundTripAllocs enforces it in `make test` too).
+# Per-layer microbenchmarks.  The per-frame encode/decode hot path of every
+# codec family must report 0 allocs/op (see -benchmem output;
+# TestFrameRoundTripAllocs enforces it in `make test` too).  The serve lookup
+# layer is one Result.LookupLabels batch of 8 Zipf keys per op over a
+# multi-frame varint labelling of 100k nodes.
 microbench:
 	$(GO) test ./internal/record -run '^$$' -bench BenchmarkFrameRoundTrip -benchmem -benchtime 200x
+	$(GO) test . -run '^$$' -bench BenchmarkLookupLabels -benchmem
 
 # Refresh the committed baseline after an intentional I/O-count change;
 # commit the resulting bench/baseline.json.  The baseline is recorded under

@@ -12,9 +12,10 @@
 // /stats endpoint.
 //
 // The serving path is built for concurrency: point lookups are coalesced by
-// a dispatcher into sorted sweeps over the label file (one forward pass of
-// monotone binary searches per wave, instead of an independent probe per
-// request) and fronted by an LRU of hot node labels.  Reachability queries
+// a dispatcher into sorted batches over the label file (one footer key
+// probe per node and at most one frame decode per touched frame, instead of
+// an independent probe per request) and fronted by an LRU of hot node
+// labels.  Reachability queries
 // reduce to two label lookups plus an in-memory intersection of 2-hop label
 // sets.  Shutdown is graceful: in-flight queries drain, then every artifact
 // — the engine run directory and the serve directory holding the DAG and

@@ -99,8 +99,8 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) int {
 // TestServerConcurrentOracle hammers a server with mixed membership,
 // same-component and reachability queries from many goroutines and checks
 // every answer against the single-threaded oracle, on both storage backends
-// and with the seekable fixed codec (so the batched binary-search sweep path
-// is exercised, not just the in-memory table).
+// and with both the fixed codec (key seeks by binary search) and the framed
+// varint codec (key seeks through the frame-index footer).
 func TestServerConcurrentOracle(t *testing.T) {
 	for _, codec := range []string{"fixed", "varint"} {
 		t.Run(codec, func(t *testing.T) {

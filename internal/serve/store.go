@@ -16,12 +16,13 @@ var errClosed = errors.New("serve: server is shutting down")
 // labelStore coalesces concurrent point lookups into batched sweeps over the
 // label file.  A single dispatcher goroutine gathers the requests that
 // arrive within a short window (or until the batch cap) and resolves their
-// union with one Result.LookupLabels call — on a fixed-codec label file that
-// is a single forward pass of monotone binary searches, so a wave of
-// concurrent queries costs one traversal of the touched blocks instead of an
-// independent O(log n) probe per request.  On framed (varint) label files
-// the engine answers from its in-memory table and batching only trims
-// synchronisation overhead.
+// union with one Result.LookupLabels call.  The Result answers it on a
+// lookup reader it holds between calls: on a framed (varint, compress) label
+// file each sorted key is one probe of the frame-index footer plus at most
+// one frame decode, shared by every key in that frame, so a wave of
+// concurrent queries costs at most one frame read per touched frame instead
+// of an independent probe per request.  The held reader keeps one decoded
+// frame plus one block buffer resident.
 type labelStore struct {
 	res      *extscc.Result
 	window   time.Duration

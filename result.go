@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sort"
+	"slices"
 	"sync"
-
 	"time"
 
 	"extscc/internal/blockio"
@@ -143,11 +142,14 @@ type Result struct {
 	cfg       iomodel.Config
 	streamErr error
 
-	// Random-access lookup state, built lazily by LabelOf/LookupLabels.
-	lookupOnce   sync.Once
-	lookupErr    error
-	labelScanned bool
-	labelCount   int64
+	// Random-access lookup state shared by LabelOf and LookupLabels, guarded
+	// by lookupMu.  lookupRd is the held reader: opened on first use, dropped
+	// on any read error and by ExportLabels, and closed for good by Close
+	// (lookupClosed).  labelTable is the in-memory fallback for a legacy
+	// footerless framed label file.
+	lookupMu     sync.Mutex
+	lookupRd     *recio.Reader[record.Label]
+	lookupClosed bool
 	labelTable   map[NodeID]uint32
 }
 
@@ -184,82 +186,124 @@ func (r *Result) Stream() iter.Seq2[NodeID, uint32] {
 // iteration early.
 func (r *Result) Err() error { return r.streamErr }
 
-// initLookup inspects the label file once.  Fixed-layout files and framed
-// files with a frame-index footer expose their record count for binary search
-// — no per-node memory, whatever the codec.  Only a legacy footerless framed
-// file (written before footers existed) still has no record-index-to-byte
-// mapping; its whole labelling is scanned into an in-memory table costing
-// 12-16 bytes per node, the one regime where random access needs the file
-// rewritten to scale past RAM.
-func (r *Result) initLookup() error {
-	r.lookupOnce.Do(func() {
-		rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
+// errResultClosed is returned by lookups on a Result after Close.
+var errResultClosed = errors.New("extscc: result is closed")
+
+// lookupReader returns the held lookup reader, opening it on first use; the
+// caller holds lookupMu.  It opens with Workers = 1, so no sequential
+// prefetcher starts for what is a seek-only access pattern.  Fixed-layout
+// files and framed files with a frame-index footer seek by key with no
+// per-node memory, whatever the codec.  Only a legacy footerless framed file
+// (written before footers existed) cannot seek: its whole labelling is
+// scanned once into labelTable, costing 12-16 bytes per node, and the
+// returned reader is nil.
+func (r *Result) lookupReader() (*recio.Reader[record.Label], error) {
+	if r.lookupClosed {
+		return nil, errResultClosed
+	}
+	if r.lookupRd != nil || r.labelTable != nil {
+		return r.lookupRd, nil
+	}
+	cfg := r.cfg
+	cfg.Workers = 1
+	rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if rd.Count() >= 0 {
+		r.lookupRd = rd
+		return rd, nil
+	}
+	defer rd.Close()
+	table := make(map[NodeID]uint32)
+	for {
+		l, err := rd.Read()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			r.lookupErr = err
-			return
+			return nil, err
 		}
-		defer rd.Close()
-		if n := rd.Count(); n >= 0 {
-			r.labelCount = n
-			return
-		}
-		r.labelScanned = true
-		table := make(map[NodeID]uint32)
-		for {
-			l, err := rd.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.lookupErr = err
-				return
-			}
-			table[l.Node] = l.SCC
-		}
-		r.labelTable = table
-	})
-	return r.lookupErr
+		table[l.Node] = l.SCC
+	}
+	r.labelTable = table
+	return nil, nil
+}
+
+// dropLookup closes the held lookup reader, if any; the next lookup reopens
+// it on LabelPath.  The caller holds lookupMu.
+func (r *Result) dropLookup() {
+	if r.lookupRd != nil {
+		r.lookupRd.Close()
+		r.lookupRd = nil
+	}
+}
+
+// seekLabel looks node up on the held reader rd with one key seek.  Any
+// error drops the reader, so a failed read never leaves it in an unknown
+// position and the next call starts from a fresh open.
+func (r *Result) seekLabel(rd *recio.Reader[record.Label], node NodeID) (uint32, bool, error) {
+	if _, err := rd.SeekToKey(uint64(node) << 32); err != nil {
+		r.dropLookup()
+		return 0, false, err
+	}
+	l, err := rd.Read()
+	switch {
+	case err == io.EOF:
+		return 0, false, nil
+	case err != nil:
+		r.dropLookup()
+		return 0, false, err
+	case l.Node != node:
+		return 0, false, nil
+	}
+	return l.SCC, true, nil
 }
 
 // LabelOf returns the SCC label of a single node, or ok=false for a node the
-// run never saw.  The lookup binary-searches the node-sorted file directly —
-// O(log n) random block reads, no memory — on fixed files by offset
-// arithmetic and on framed files (varint, compress) through the frame-index
-// footer, which is what makes point queries over larger-than-RAM labellings
-// possible under every codec.  Only a legacy footerless framed file falls
-// back to scanning the labelling into an in-memory table on first call.
-// LabelOf is safe for concurrent use.
+// run never saw.  The lookup seeks the node-sorted label file by key on a
+// reader the Result holds between calls.  On a framed file (varint,
+// compress) that is one probe of the frame-index footer's per-frame key
+// ranges, in memory, plus at most one frame decode — none when the node
+// lies in the frame the previous lookup decoded.  On a fixed-layout file it
+// is a binary search by offset arithmetic, O(log n) block reads.  Either way
+// point queries over larger-than-RAM labellings need no per-node memory;
+// the held reader costs one decoded frame plus one block buffer, and is
+// closed by ExportLabels and Close.  Only a legacy footerless framed file
+// falls back to scanning the labelling into an in-memory table on first
+// call.  LabelOf is safe for concurrent use; lookups on one Result are
+// serialised.
 func (r *Result) LabelOf(node NodeID) (scc uint32, ok bool, err error) {
-	if err := r.initLookup(); err != nil {
-		return 0, false, err
-	}
-	if r.labelScanned {
-		scc, ok = r.labelTable[node]
-		return scc, ok, nil
-	}
-	rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
+	r.lookupMu.Lock()
+	defer r.lookupMu.Unlock()
+	rd, err := r.lookupReader()
 	if err != nil {
 		return 0, false, err
 	}
-	defer rd.Close()
-	scc, ok, _, err = searchLabel(rd, 0, r.labelCount, node)
-	return scc, ok, err
+	if rd == nil {
+		scc, ok = r.labelTable[node]
+		return scc, ok, nil
+	}
+	return r.seekLabel(rd, node)
 }
 
-// LookupLabels resolves a batch of nodes in one pass, returning a map holding
-// an entry for every node that has a label.  The batch is sorted and answered
-// by a single forward sweep of monotone binary searches — each search starts
-// where the previous one ended — so a wave of point lookups costs one
-// traversal of the touched blocks instead of an independent log-n probe per
-// node, on fixed and footer-indexed framed files alike.  This is the
-// primitive the serving subsystem's request coalescing is built on.  Legacy
-// footerless framed files answer from the same in-memory table as LabelOf.
+// LookupLabels resolves a batch of nodes, returning a map holding an entry
+// for every node that has a label.  The batch is sorted and each distinct
+// node is looked up as in LabelOf, on the same held reader: sorted keys that
+// share a frame reuse its decoded records, so a batch costs at most one frame
+// decode per touched frame on footer-indexed framed files, and no re-open,
+// head or footer read after the first call.  This is the primitive the
+// serving subsystem's request coalescing is built on.  Legacy footerless
+// framed files answer from the same in-memory table as LabelOf.
 func (r *Result) LookupLabels(nodes []NodeID) (map[NodeID]uint32, error) {
-	if err := r.initLookup(); err != nil {
+	r.lookupMu.Lock()
+	defer r.lookupMu.Unlock()
+	rd, err := r.lookupReader()
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[NodeID]uint32, len(nodes))
-	if r.labelScanned {
+	if rd == nil {
 		for _, n := range nodes {
 			if scc, ok := r.labelTable[n]; ok {
 				out[n] = scc
@@ -267,66 +311,21 @@ func (r *Result) LookupLabels(nodes []NodeID) (map[NodeID]uint32, error) {
 		}
 		return out, nil
 	}
-	sorted := make([]NodeID, len(nodes))
-	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	lo := int64(0)
+	sorted := slices.Clone(nodes)
+	slices.Sort(sorted)
 	for i, n := range sorted {
 		if i > 0 && n == sorted[i-1] {
 			continue
 		}
-		scc, ok, pos, err := searchLabel(rd, lo, r.labelCount, n)
+		scc, ok, err := r.seekLabel(rd, n)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			out[n] = scc
-			lo = pos + 1
-		} else {
-			lo = pos
 		}
 	}
 	return out, nil
-}
-
-// searchLabel binary-searches the node-sorted window [lo, hi) of a
-// fixed-layout label file for node, returning its label and the position of
-// the first record with Node >= node.
-func searchLabel(rd *recio.Reader[record.Label], lo, hi int64, node NodeID) (uint32, bool, int64, error) {
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if err := rd.SeekTo(mid); err != nil {
-			return 0, false, 0, err
-		}
-		l, err := rd.Read()
-		if err != nil {
-			return 0, false, 0, err
-		}
-		if l.Node < node {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= rd.Count() {
-		return 0, false, lo, nil
-	}
-	if err := rd.SeekTo(lo); err != nil {
-		return 0, false, 0, err
-	}
-	l, err := rd.Read()
-	if err != nil {
-		return 0, false, 0, err
-	}
-	if l.Node != node {
-		return 0, false, lo, nil
-	}
-	return l.SCC, true, lo, nil
 }
 
 // Labels loads the full label assignment into memory.  Use it only when the
@@ -358,6 +357,11 @@ func (r *Result) ExportLabels(path string) error {
 	if r == nil || r.LabelPath == "" {
 		return errors.New("extscc: result has no label file")
 	}
+	// The held lookup reader is bound to the old path; the next lookup
+	// reopens at the exported one.
+	r.lookupMu.Lock()
+	defer r.lookupMu.Unlock()
+	r.dropLookup()
 	backend := r.cfg.Backend()
 	// The rename (or copy) below goes straight through the backend, not
 	// through blockio's writer, so drop any cached blocks held under either
@@ -378,11 +382,19 @@ func (r *Result) ExportLabels(path string) error {
 	return nil
 }
 
-// Close removes the result's run directory (including LabelPath, unless it
-// was exported) from the run's storage backend.  It is idempotent and safe
-// on a nil receiver.
+// Close closes the held lookup reader and removes the result's run
+// directory (including LabelPath, unless it was exported) from the run's
+// storage backend.  LabelOf and LookupLabels fail after Close.  It is
+// idempotent and safe on a nil receiver.
 func (r *Result) Close() error {
-	if r == nil || r.runDir == "" {
+	if r == nil {
+		return nil
+	}
+	r.lookupMu.Lock()
+	r.dropLookup()
+	r.lookupClosed = true
+	r.lookupMu.Unlock()
+	if r.runDir == "" {
 		return nil
 	}
 	dir := r.runDir

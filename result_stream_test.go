@@ -2,6 +2,10 @@ package extscc_test
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"extscc"
@@ -85,15 +89,32 @@ func TestStreamEarlyTermination(t *testing.T) {
 }
 
 // TestResultDoubleClose pins Close idempotency: a second Close (and a Close
-// after streaming) is a no-op, and a nil receiver is safe.
+// after streaming or lookups) is a no-op, and a nil receiver is safe.  Close
+// also closes the held lookup reader, leaving no file behind, and a lookup
+// after Close fails instead of panicking or re-opening.
 func TestResultDoubleClose(t *testing.T) {
 	streamBackends(t, func(t *testing.T, b extscc.Storage) {
 		res := streamResult(t, b)
 		for range res.Stream() {
 			break
 		}
+		if _, _, err := res.LabelOf(7); err != nil {
+			t.Fatal(err)
+		}
 		if err := res.Close(); err != nil {
 			t.Fatalf("first Close: %v", err)
+		}
+		if m, ok := b.(*storage.MemBackend); ok && m.Len() != 0 {
+			t.Fatalf("Close left %d files: %v", m.Len(), m.Paths())
+		}
+		if _, err := os.Stat(filepath.Dir(res.LabelPath)); b.Name() == "os" && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Close left the run directory behind (stat: %v)", err)
+		}
+		if _, _, err := res.LabelOf(7); err == nil {
+			t.Fatal("LabelOf after Close must fail")
+		}
+		if _, err := res.LookupLabels([]extscc.NodeID{7}); err == nil {
+			t.Fatal("LookupLabels after Close must fail")
 		}
 		if err := res.Close(); err != nil {
 			t.Fatalf("second Close: %v", err)
