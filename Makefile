@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint bench bench-baseline fuzz faultsweep serve-smoke microbench
+.PHONY: all build test race lint bench bench-baseline fuzz faultsweep serve-smoke microbench perfbench
 
 all: lint test race
 
@@ -85,12 +85,25 @@ bench:
 
 # Per-layer microbenchmarks.  The per-frame encode/decode hot path of every
 # codec family must report 0 allocs/op (see -benchmem output;
-# TestFrameRoundTripAllocs enforces it in `make test` too).  The serve lookup
-# layer is one Result.LookupLabels batch of 8 Zipf keys per op over a
-# multi-frame varint labelling of 100k nodes.
+# TestFrameRoundTripAllocs enforces it in `make test` too), and so must the
+# varint Edge frame decode alone.  The extsort layer: run formation sorts one
+# 256k-record run buffer in place (0 B/op: nothing beyond the caller's
+# slice; TestSortSliceAllocatesNothing enforces it) and one k-way merge of
+# varint runs at fan-in 2 and 15.  The serve lookup layer is one
+# Result.LookupLabels batch of 8 Zipf keys per op over a multi-frame varint
+# labelling of 100k nodes.
 microbench:
-	$(GO) test ./internal/record -run '^$$' -bench BenchmarkFrameRoundTrip -benchmem -benchtime 200x
+	$(GO) test ./internal/record -run '^$$' -bench 'BenchmarkFrameRoundTrip|BenchmarkVarintEdgeDecodeBlock' -benchmem -benchtime 200x
+	$(GO) test ./internal/extsort -run '^$$' -bench 'BenchmarkSortRun|BenchmarkMergeGroup' -benchmem
 	$(GO) test . -run '^$$' -bench BenchmarkLookupLabels -benchmem
+
+# The repo benchmark (BENCHMARK.json): one workload for 30 s through the
+# public Engine, printing the JSON result as the last line.  W is one of
+# contract-web, semi-large, serve-zipf.
+W ?= contract-web
+SEED ?= 1
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 30
 
 # Refresh the committed baseline after an intentional I/O-count change;
 # commit the resulting bench/baseline.json.  The baseline is recorded under

@@ -273,12 +273,7 @@ func emComposeMapping(cumulativePath, relabelPath, outPath string, temp func(str
 	// Sort the cumulative mapping by its current representative so the
 	// composition is a merge join.
 	byRep := temp("em-cum-by-rep")
-	sorter := extsort.New[record.Label](record.LabelCodec{}, func(a, b record.Label) bool {
-		if a.SCC != b.SCC {
-			return a.SCC < b.SCC
-		}
-		return a.Node < b.Node
-	}, cfg)
+	sorter := extsort.New[record.Label](record.LabelCodec{}, record.LabelBySCC, cfg)
 	if err := sorter.SortFile(cumulativePath, byRep); err != nil {
 		return err
 	}

@@ -65,7 +65,9 @@ func TestCacheAccountingIdentical(t *testing.T) {
 	// Cold scan (all misses) and warm scan (all hits) under one cache.
 	cached := base
 	cached.Cache = NewBlockCache(1 << 20)
-	for pass, wantHits := range map[string]bool{"cold": false, "warm": true} {
+	// The passes run in order: cold first fills the cache, warm then hits it.
+	for _, pass := range []string{"cold", "warm"} {
+		wantHits := pass == "warm"
 		st := &iomodel.Stats{}
 		cfg := cached
 		cfg.Stats = st

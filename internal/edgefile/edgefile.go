@@ -889,12 +889,7 @@ func RepresentativeNodes(mappingPath, outPath string, cfg iomodel.Config) (int64
 func ComposeLabels(ctx context.Context, mappingPath, labelPath, outPath, dir string, cfg iomodel.Config) (int64, error) {
 	// Sort the mapping by representative so the resolve is a merge join.
 	byRep := blockio.TempFile(dir, "compose-by-rep", cfg.Stats)
-	repSorter := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, func(a, b record.Label) bool {
-		if a.SCC != b.SCC {
-			return a.SCC < b.SCC
-		}
-		return a.Node < b.Node
-	}, cfg)
+	repSorter := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, record.LabelBySCC, cfg)
 	if err := repSorter.SortFile(mappingPath, byRep); err != nil {
 		return 0, err
 	}

@@ -7,23 +7,28 @@
 // and the k-way merge fan-in is derived from M/B, so the number of merge
 // passes matches Theta(log_{M/B}(m/B)).
 //
+// Every comparator handed to the sorter must be a strict total order on the
+// record: !less(a, b) && !less(b, a) implies a == b.  Records that compare
+// equal are then indistinguishable, so any correct sort writes the same
+// bytes, and runs are sorted in place (pdqsort) rather than stably.  Run
+// formation holds nothing beyond its M/2 record slice — no sort scratch.
+//
 // With cfg.Workers > 1 the sorter parallelises the CPU-bound work without
 // changing the accounted I/O: run boundaries are identical at every worker
 // count (each run still holds runCapacity() records of the input, in input
 // order), each run is sorted by concurrently sorting contiguous chunks and
-// stably merging them while writing (so the output file is byte-for-byte the
-// file the sequential sorter writes), the next batch is read while the
-// current one is sorted and written, and independent run groups of a merge
-// pass are merged concurrently.  Every Stats counter therefore matches the
-// sequential run exactly; only the wall-clock changes.
+// merging them while writing (under a total order the output file is
+// byte-for-byte the file the sequential sorter writes), the next batch is
+// read while the current one is sorted and written, and independent run
+// groups of a merge pass are merged concurrently.  Every Stats counter
+// therefore matches the sequential run exactly; only the wall-clock changes.
 package extsort
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"extscc/internal/blockio"
@@ -40,12 +45,18 @@ const checkEvery = 8192
 type Sorter[T any] struct {
 	codec record.Codec[T]
 	less  func(a, b T) bool
+	cmp   func(a, b T) int
 	cfg   iomodel.Config
 	ctx   context.Context
 }
 
 // New returns a Sorter for records of type T ordered by less, operating under
-// the memory budget, block size and worker count of cfg.
+// the memory budget, block size and worker count of cfg.  less must be a
+// strict total order on T: two records neither of which is less than the
+// other must be equal in every field (break ties on every field the order
+// does not otherwise compare).  The sort is not stable, so a comparator that
+// ignores a field lets records differing only in that field land in either
+// order — and the output bytes then depend on the worker count.
 func New[T any](codec record.Codec[T], less func(a, b T) bool, cfg iomodel.Config) *Sorter[T] {
 	return NewContext(context.Background(), codec, less, cfg)
 }
@@ -57,7 +68,16 @@ func NewContext[T any](ctx context.Context, codec record.Codec[T], less func(a, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Sorter[T]{codec: codec, less: less, cfg: cfg, ctx: ctx}
+	cmp := func(a, b T) int {
+		if less(a, b) {
+			return -1
+		}
+		if less(b, a) {
+			return 1
+		}
+		return 0
+	}
+	return &Sorter[T]{codec: codec, less: less, cmp: cmp, cfg: cfg, ctx: ctx}
 }
 
 func (s *Sorter[T]) ctxErr() error { return s.ctx.Err() }
@@ -122,10 +142,12 @@ func (s *Sorter[T]) SortStream(in recio.Iterator[T], outPath string) error {
 	return nil
 }
 
-// SortSlice sorts recs in memory using the Sorter's comparator.  It exists so
-// callers have a single definition of each sort order; no I/O is charged.
+// SortSlice sorts recs in place using the Sorter's comparator (pdqsort; it
+// allocates nothing).  It exists so callers have a single definition of each
+// sort order; no I/O is charged.  Under the strict total order New requires,
+// the result is the unique sorted permutation of recs.
 func (s *Sorter[T]) SortSlice(recs []T) {
-	sort.SliceStable(recs, func(i, j int) bool { return s.less(recs[i], recs[j]) })
+	slices.SortFunc(recs, s.cmp)
 }
 
 // formRuns splits the input stream into sorted runs, each at most
@@ -187,8 +209,9 @@ func (s *Sorter[T]) formRuns(in recio.Iterator[T]) ([]string, error) {
 
 // formRunsParallel pipelines run formation: the calling goroutine keeps
 // reading the input into the next batch while a background goroutine sorts
-// and writes the previous one.  Two record batches circulate, so run
-// formation holds at most the full memory budget (2 × M/2) at any moment.
+// and writes the previous one.  Two record batches circulate and the chunks
+// are sorted in place, so run formation holds exactly the two M/2 record
+// slices — the full memory budget — and nothing more.
 // Batches are handed over in input order and written by a single goroutine,
 // so the produced run files — paths aside — are the sequential ones.
 func (s *Sorter[T]) formRunsParallel(in recio.Iterator[T], capRecords int) ([]string, error) {
@@ -261,11 +284,11 @@ read:
 }
 
 // writeRun sorts one batch and writes it as a run file.  The batch is split
-// into one contiguous chunk per worker; the chunks are stable-sorted
-// concurrently and then merged — stably, ties resolved towards the earlier
-// chunk — straight into the run writer.  A stable merge of stably sorted
-// contiguous chunks reproduces exactly the stable sort of the whole batch,
-// so the run file is byte-identical to the sequential sorter's.
+// into one contiguous chunk per worker; the chunks are sorted in place
+// concurrently and then merged straight into the run writer.  Under a total
+// order the merge of sorted chunks is the unique sorted permutation of the
+// batch — records that tie are equal — so the run file is byte-identical to
+// the sequential sorter's.
 func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 	if err := s.ctxErr(); err != nil {
 		return "", err
@@ -313,8 +336,8 @@ func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 	return path, nil
 }
 
-// sortChunks splits buf into up to workers() contiguous chunks and
-// stable-sorts them concurrently.
+// sortChunks splits buf into up to workers() contiguous chunks and sorts
+// each in place, concurrently.
 func (s *Sorter[T]) sortChunks(buf []T) [][]T {
 	w := s.workers()
 	if w > len(buf) {
@@ -484,23 +507,56 @@ type mergeItem[T any] struct {
 	src int
 }
 
+// mergeHeap is a binary min-heap of merge items under less.  Its sift-down
+// makes container/heap's exact choices — the same init order, the same child
+// picked on a tie (the left one), the same swap-with-last on pop — so a merge
+// pass takes its records in the order the interface-based heap did.
 type mergeHeap[T any] struct {
 	items []mergeItem[T]
 	less  func(a, b T) bool
 }
 
-func (h *mergeHeap[T]) Len() int           { return len(h.items) }
-func (h *mergeHeap[T]) Less(i, j int) bool { return h.less(h.items[i].rec, h.items[j].rec) }
-func (h *mergeHeap[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap[T]) Push(x any)         { h.items = append(h.items, x.(mergeItem[T])) }
-func (h *mergeHeap[T]) Pop() any {
-	n := len(h.items)
-	it := h.items[n-1]
-	h.items = h.items[:n-1]
-	return it
+// init establishes the heap invariant (container/heap.Init).
+func (h *mergeHeap[T]) init() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
-func (h *mergeHeap[T]) peek() mergeItem[T]  { return h.items[0] }
-func (h *mergeHeap[T]) fix(it mergeItem[T]) { h.items[0] = it; heap.Fix(h, 0) }
+
+// down sifts items[i] towards the leaves (container/heap's down).
+func (h *mergeHeap[T]) down(i int) {
+	items := h.items
+	n := len(items)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && h.less(items[j2].rec, items[j].rec) {
+			j = j2
+		}
+		if !h.less(items[j].rec, items[i].rec) {
+			return
+		}
+		items[i], items[j] = items[j], items[i]
+		i = j
+	}
+}
+
+// replaceTop overwrites the minimum and restores the heap
+// (container/heap.Fix at index 0).
+func (h *mergeHeap[T]) replaceTop(it mergeItem[T]) {
+	h.items[0] = it
+	h.down(0)
+}
+
+// pop removes the minimum (container/heap.Pop).
+func (h *mergeHeap[T]) pop() {
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	h.down(0)
+}
 
 // mergeGroup merges the sorted run files in group into a single sorted file
 // at target.
@@ -529,14 +585,14 @@ func (s *Sorter[T]) mergeGroup(group []string, target string) error {
 		}
 		h.items = append(h.items, mergeItem[T]{rec: rec, src: i})
 	}
-	heap.Init(h)
+	h.init()
 	w, err := recio.NewWriter(target, s.codec, s.cfg)
 	if err != nil {
 		return err
 	}
 	written := 0
-	for h.Len() > 0 {
-		top := h.peek()
+	for len(h.items) > 0 {
+		top := h.items[0]
 		if written++; written%checkEvery == 0 {
 			if err := s.ctxErr(); err != nil {
 				w.Close()
@@ -549,14 +605,14 @@ func (s *Sorter[T]) mergeGroup(group []string, target string) error {
 		}
 		rec, err := readers[top.src].Read()
 		if err == io.EOF {
-			heap.Pop(h)
+			h.pop()
 			continue
 		}
 		if err != nil {
 			w.Close()
 			return err
 		}
-		h.fix(mergeItem[T]{rec: rec, src: top.src})
+		h.replaceTop(mergeItem[T]{rec: rec, src: top.src})
 	}
 	return w.Close()
 }

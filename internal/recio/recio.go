@@ -191,6 +191,15 @@ type Reader[T any] struct {
 	stats *iomodel.Stats
 	cfg   iomodel.Config
 
+	// scanned counts the records Read returned that Stats has not been told
+	// about yet.  A plain field, not one atomic add per record on the Stats
+	// cache line every concurrent reader shares: flushScanned hands the count
+	// over when the reader moves to the next frame (or, on the fixed layout,
+	// after a block's worth of records) and in Close, so Stats lags by at
+	// most one frame while the reader is open and is exact once it closes.
+	scanned int64
+	flushAt int64
+
 	// Fixed mode.  pre holds bytes consumed from the file head while
 	// sniffing for the frame magic; records are served from it first.
 	buf    []byte
@@ -301,7 +310,20 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 		return fail(fmt.Errorf("recio: %s has size %d, not a multiple of record size %d", path, br.Size(), size))
 	}
 	r.buf = make([]byte, codec.Size())
+	bs := cfg.BlockSize
+	if bs <= 0 {
+		bs = iomodel.DefaultBlockSize
+	}
+	r.flushAt = int64(max(1, bs/codec.Size()))
 	return r, nil
+}
+
+// flushScanned adds the records counted since the last flush to Stats.
+func (r *Reader[T]) flushScanned() {
+	if r.scanned > 0 {
+		r.stats.CountScanRecords(r.scanned)
+		r.scanned = 0
+	}
 }
 
 // Framed reports whether the file is framed (variable-length codec).  Framed
@@ -394,6 +416,7 @@ func (r *Reader[T]) corrupt(off int64, detail string) error {
 // decode failure surfaces as a blockio.CorruptError (errors.Is ErrCorrupt),
 // never as wrong records.
 func (r *Reader[T]) nextFrame() error {
+	r.flushScanned()
 	for {
 		if r.done {
 			return io.EOF
@@ -487,7 +510,7 @@ func (r *Reader[T]) Read() (T, error) {
 		}
 		rec := r.batch[r.bi]
 		r.bi++
-		r.stats.CountScanRecords(1)
+		r.scanned++
 		return rec, nil
 	}
 	if err := r.readFull(r.buf); err != nil {
@@ -496,7 +519,9 @@ func (r *Reader[T]) Read() (T, error) {
 		}
 		return zero, err
 	}
-	r.stats.CountScanRecords(1)
+	if r.scanned++; r.scanned == r.flushAt {
+		r.flushScanned()
+	}
 	return r.codec.Decode(r.buf), nil
 }
 
@@ -619,8 +644,10 @@ func (r *Reader[T]) SeekToKey(key uint64) (int64, error) {
 	return r.frameFirst + int64(r.bi), nil
 }
 
-// Close closes the underlying file and recycles the frame-payload scratch.
+// Close hands the pending scan count to Stats, closes the underlying file and
+// recycles the frame-payload scratch.
 func (r *Reader[T]) Close() error {
+	r.flushScanned()
 	pool.PutSlice(r.payload)
 	r.payload = nil
 	return r.r.Close()

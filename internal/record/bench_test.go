@@ -78,6 +78,26 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkVarintEdgeDecodeBlock measures the decode half of the varint frame
+// hot path alone: one 4096-record Edge frame per op into a reused slice.
+func BenchmarkVarintEdgeDecodeBlock(b *testing.B) {
+	recs := benchEdges(4096)
+	var c VarintEdgeCodec
+	payload := c.AppendBlock(nil, recs)
+	dec := make([]Edge, 0, len(recs))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(recs) * EdgeCodec{}.Size()))
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dec, err = c.DecodeBlock(payload, len(recs), dec[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(dec) != len(recs) || dec[17] != recs[17] {
+		b.Fatal("decode corrupted records")
+	}
+}
+
 // TestFrameRoundTripAllocs is the regression guard behind the benchmark: the
 // steady-state frame round trip must not allocate.  The threshold is below
 // one alloc per op but not exactly zero, so a GC emptying the buffer pool

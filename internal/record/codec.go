@@ -3,6 +3,7 @@ package record
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Codec-family names.  A family selects one encoding for every record type of
@@ -196,8 +197,14 @@ func appendDelta32(dst []byte, cur, prev uint32) []byte {
 // errShortPayload is returned when a frame payload ends inside a record.
 var errShortPayload = fmt.Errorf("record: truncated varint payload")
 
-// readUvarint reads one uvarint from payload at off.
+// readUvarint reads one uvarint from payload at off.  Most fields of a sorted
+// frame are one-byte varints (small deltas and degrees), so a byte below 0x80
+// returns at once; anything longer, and an empty tail, takes the general
+// decoder.
 func readUvarint(payload []byte, off int) (uint64, int, error) {
+	if off < len(payload) && payload[off] < 0x80 {
+		return uint64(payload[off]), off + 1, nil
+	}
 	u, n := binary.Uvarint(payload[off:])
 	if n <= 0 {
 		return 0, off, errShortPayload
@@ -251,6 +258,7 @@ func (c VarintEdgeCodec) DecodeBlock(payload []byte, count int, dst []Edge) ([]E
 	var pu, pv NodeID
 	off := 0
 	var err error
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		if pu, off, err = readDelta32(payload, off, pu); err != nil {
 			return dst, err
@@ -287,6 +295,7 @@ func (c VarintNodeCodec) DecodeBlock(payload []byte, count int, dst []NodeID) ([
 	var prev NodeID
 	off := 0
 	var err error
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		if prev, off, err = readDelta32(payload, off, prev); err != nil {
 			return dst, err
@@ -322,6 +331,7 @@ func (c VarintNodeDegreeCodec) DecodeBlock(payload []byte, count int, dst []Node
 	var prev NodeID
 	off := 0
 	var err error
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		var din, dout uint64
 		if prev, off, err = readDelta32(payload, off, prev); err != nil {
@@ -369,6 +379,7 @@ func (c VarintEdgeAugCodec) DecodeBlock(payload []byte, count int, dst []EdgeAug
 	var pu, pv NodeID
 	off := 0
 	var err error
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		var rec EdgeAug
 		if pu, off, err = readDelta32(payload, off, pu); err != nil {
@@ -422,6 +433,7 @@ func (c VarintLabelCodec) DecodeBlock(payload []byte, count int, dst []Label) ([
 	var ps SCCID
 	off := 0
 	var err error
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		if pn, off, err = readDelta32(payload, off, pn); err != nil {
 			return dst, err
@@ -462,6 +474,7 @@ func (c VarintEdgeSCCCodec) DecodeBlock(payload []byte, count int, dst []EdgeSCC
 	var ps SCCID
 	off := 0
 	var err error
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		if pu, off, err = readDelta32(payload, off, pu); err != nil {
 			return dst, err

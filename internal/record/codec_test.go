@@ -106,6 +106,57 @@ func TestDecodeBlockRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReadUvarintEdges pins readUvarint's one-byte fast path against the
+// general decoder it falls through to: the 0x7f/0x80 boundary, a payload
+// ending exactly after a one-byte varint, one ending inside a multi-byte
+// varint, and an empty tail.
+func TestReadUvarintEdges(t *testing.T) {
+	cases := []struct {
+		name    string
+		payload []byte
+		off     int
+		want    uint64
+		wantOff int
+		wantErr bool
+	}{
+		{"zero", []byte{0x00}, 0, 0, 1, false},
+		{"largest one-byte 0x7f", []byte{0x7f}, 0, 127, 1, false},
+		{"ends after one-byte varint", []byte{0x80, 0x01, 0x05}, 2, 5, 3, false},
+		{"smallest two-byte 0x80 0x01", []byte{0x80, 0x01}, 0, 128, 2, false},
+		{"two-byte then more", []byte{0xff, 0x01, 0x7f}, 0, 255, 2, false},
+		{"ends inside multi-byte", []byte{0x80}, 0, 0, 0, true},
+		{"ends inside multi-byte after one-byte", []byte{0x05, 0x80}, 1, 0, 1, true},
+		{"empty tail", []byte{0x05}, 1, 0, 1, true},
+		{"empty payload", nil, 0, 0, 0, true},
+	}
+	for _, c := range cases {
+		got, off, err := readUvarint(c.payload, c.off)
+		if c.wantErr {
+			if err != errShortPayload {
+				t.Errorf("%s: err = %v, want errShortPayload", c.name, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want || off != c.wantOff {
+			t.Errorf("%s: got (%d, %d, %v), want (%d, %d, nil)", c.name, got, off, err, c.want, c.wantOff)
+		}
+	}
+
+	// The same boundaries through whole blocks: node deltas of +64 (zigzag
+	// 128, two bytes) and -64 (zigzag 127 = 0x7f, one byte), degrees of 127
+	// and 128.
+	roundTripBlock[NodeID](t, VarintNodeCodec{}, []NodeID{64, 0, 64, 128, 191})
+	roundTripBlock[NodeDegree](t, VarintNodeDegreeCodec{}, []NodeDegree{
+		{Node: 63, DegIn: 127, DegOut: 128}, {Node: 127, DegIn: 128, DegOut: 127},
+	})
+	if _, err := (VarintNodeCodec{}).DecodeBlock([]byte{0x7e, 0x80}, 2, nil); err != errShortPayload {
+		t.Errorf("block ending inside a varint: err = %v, want errShortPayload", err)
+	}
+	if got, err := (VarintNodeCodec{}).DecodeBlock([]byte{0x7e, 0x7f}, 2, nil); err != nil || got[0] != 63 || got[1] != math.MaxUint32 {
+		t.Errorf("block ending after a one-byte varint: got %v, %v; want [63 4294967295]", got, err)
+	}
+}
+
 // TestBlockCodecRegistry checks the family and ID lookups that the framed
 // reader/writer dispatch through.
 func TestBlockCodecRegistry(t *testing.T) {

@@ -9,9 +9,10 @@ package record
 // payload modes are hit.  The garbage fuzzers feed arbitrary bytes to every
 // block decoder, which must reject them with an error instead of panicking
 // or fabricating records.  The seed corpus under testdata/fuzz pins the
-// boundary NodeIDs (0 and MaxUint32) and the malformed-LZ shapes; the seeds
-// run as ordinary cases on every `go test`, and `go test -fuzz` explores
-// beyond them.
+// boundary NodeIDs (0 and MaxUint32), the one-byte/two-byte varint boundary
+// (0x7f/0x80, payloads ending right after or inside a varint) and the
+// malformed-LZ shapes; the seeds run as ordinary cases on every `go test`,
+// and `go test -fuzz` explores beyond them.
 
 import (
 	"bytes"

@@ -148,8 +148,17 @@ func (NodeDegreeCodec) Decode(src []byte) NodeDegree {
 	}
 }
 
-// NodeDegreeByNode orders degree rows by node id.
-func NodeDegreeByNode(a, b NodeDegree) bool { return a.Node < b.Node }
+// NodeDegreeByNode orders degree rows by node id, breaking ties on (DegIn,
+// DegOut) so the order is total, as extsort requires.
+func NodeDegreeByNode(a, b NodeDegree) bool {
+	if a.Node != b.Node {
+		return a.Node < b.Node
+	}
+	if a.DegIn != b.DegIn {
+		return a.DegIn < b.DegIn
+	}
+	return a.DegOut < b.DegOut
+}
 
 // ---------------------------------------------------------------------------
 // The ">" operator (Definition 5.1 and Definition 7.1)
@@ -239,20 +248,41 @@ func (EdgeAugCodec) Decode(src []byte) EdgeAug {
 	}
 }
 
-// EdgeAugBySource orders augmented edges by (U, V).
+// EdgeAugBySource orders augmented edges by (U, V), breaking ties on KeyU,
+// then KeyV, so the order is total, as extsort requires.
 func EdgeAugBySource(a, b EdgeAug) bool {
 	if a.U != b.U {
 		return a.U < b.U
 	}
-	return a.V < b.V
+	if a.V != b.V {
+		return a.V < b.V
+	}
+	return edgeAugKeysLess(a, b)
 }
 
-// EdgeAugByTarget orders augmented edges by (V, U).
+// EdgeAugByTarget orders augmented edges by (V, U), breaking ties on KeyU,
+// then KeyV, so the order is total, as extsort requires.
 func EdgeAugByTarget(a, b EdgeAug) bool {
 	if a.V != b.V {
 		return a.V < b.V
 	}
-	return a.U < b.U
+	if a.U != b.U {
+		return a.U < b.U
+	}
+	return edgeAugKeysLess(a, b)
+}
+
+// edgeAugKeysLess orders two augmented edges of the same (U, V) by KeyU, then
+// KeyV, each compared by (Deg, Prod).
+func edgeAugKeysLess(a, b EdgeAug) bool {
+	ka, kb := a.KeyU, b.KeyU
+	if ka == kb {
+		ka, kb = a.KeyV, b.KeyV
+	}
+	if ka.Deg != kb.Deg {
+		return ka.Deg < kb.Deg
+	}
+	return ka.Prod < kb.Prod
 }
 
 // ---------------------------------------------------------------------------
@@ -285,8 +315,14 @@ func (LabelCodec) Decode(src []byte) Label {
 	}
 }
 
-// LabelByNode orders labels by node id.
-func LabelByNode(a, b Label) bool { return a.Node < b.Node }
+// LabelByNode orders labels by node id, breaking ties on SCC so the order is
+// total, as extsort requires.
+func LabelByNode(a, b Label) bool {
+	if a.Node != b.Node {
+		return a.Node < b.Node
+	}
+	return a.SCC < b.SCC
+}
 
 // LabelBySCC orders labels by (SCC, node).
 func LabelBySCC(a, b Label) bool {
@@ -331,12 +367,16 @@ func (EdgeSCCCodec) Decode(src []byte) EdgeSCC {
 	}
 }
 
-// EdgeSCCBySource orders SCC-annotated edges by (U, V).
+// EdgeSCCBySource orders SCC-annotated edges by (U, V), breaking ties on SCC
+// so the order is total, as extsort requires.
 func EdgeSCCBySource(a, b EdgeSCC) bool {
 	if a.U != b.U {
 		return a.U < b.U
 	}
-	return a.V < b.V
+	if a.V != b.V {
+		return a.V < b.V
+	}
+	return a.SCC < b.SCC
 }
 
 // EdgeSCCByTargetSCC orders SCC-annotated edges by (V, SCC, U): the order
